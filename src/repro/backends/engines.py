@@ -1,63 +1,43 @@
 """Connectors for the three simulated backends (DESIGN.md §2).
 
-Each connector keeps the paper's three-method contract (initialize /
-send_query / postprocess) and executes PolyFrame's *generated query text*
-on a local substrate:
+Each one is a :class:`~repro.backends.spark.SparkConnector` that adds only
+what its language needs; registration, the dataset check and schema
+introspection are the base's, over the one catalog of the session's temp
+views (a dataset is the temp view ``{namespace}_{collection}``):
 
 * :class:`SqlPPConnector` — SQL++ (AsterixDB) → transpiled to Spark SQL
 * :class:`MongoConnector` — aggregation-pipeline JSON → mini Mongo engine
 * :class:`CypherConnector` — linear Cypher → mini Cypher interpreter
 
-All three return pandas DataFrames, like every PolyFrame backend.
+A new Spark-backed backend follows the same recipe: subclass
+``SparkConnector``, set ``language`` to its rule file, and override
+``send_query`` and/or ``preprocess``. All return pandas DataFrames, like
+every PolyFrame backend.
 """
 from __future__ import annotations
 
 import json
 
 import pandas as pd
-from pyspark.sql import DataFrame as SparkDataFrame, SparkSession
+from pyspark.sql import SparkSession
 
-from repro.core.connector import DatasetNotRegistered, DBConnector
+from repro.backends.spark import SparkConnector, TempViews
 from repro.core.rewrite import RewriteRules
 from repro.cypher.engine import CypherEngine
 from repro.mongo.engine import MongoEngine
 from repro.sqlpp.transpile import transpile
 
 
-class SqlPPConnector(DBConnector):
+class SqlPPConnector(SparkConnector):
     """AsterixDB stand-in: generated SQL++ is transpiled to Spark SQL."""
 
     language = "sqlpp"
 
-    def __init__(self, spark: SparkSession, rules: RewriteRules | None = None):
-        super().__init__(rules)
-        self.spark = spark
-        self._registered: set[tuple[str, str]] = set()
-
-    def register(self, namespace: str, collection: str, data) -> None:
-        df = (
-            data
-            if isinstance(data, SparkDataFrame)
-            else self.spark.createDataFrame(data)
-        )
-        df.createOrReplaceTempView(f"{namespace}_{collection}")
-        self._registered.add((namespace, collection))
-
-    def initialize(self, namespace: str, collection: str) -> None:
-        if (namespace, collection) not in self._registered:
-            raise DatasetNotRegistered(f"{namespace}.{collection}")
-
     def preprocess(self, query: str, namespace: str, collection: str) -> str:
         return transpile(query)
 
-    def send_query(self, query: str, namespace: str, collection: str) -> pd.DataFrame:
-        return self.spark.sql(query).toPandas()
 
-    def get_columns(self, namespace: str, collection: str) -> list[tuple[str, str]]:
-        return self.spark.table(f"{namespace}_{collection}").dtypes
-
-
-class MongoConnector(DBConnector):
+class MongoConnector(SparkConnector):
     """MongoDB stand-in: pipeline-stage text is parsed as JSON and run by
     the mini aggregation engine. Pipeline construction (wrapping the
     comma-separated stages in ``[...]``) happens here, exactly as the
@@ -66,67 +46,27 @@ class MongoConnector(DBConnector):
     language = "mongo"
 
     def __init__(self, spark: SparkSession, rules: RewriteRules | None = None):
-        super().__init__(rules)
-        self.spark = spark
+        super().__init__(spark, rules)
         self.engine = MongoEngine({})
-        self._namespaces: dict[tuple[str, str], str] = {}
-
-    def register(self, namespace: str, collection: str, data) -> None:
-        df = (
-            data
-            if isinstance(data, SparkDataFrame)
-            else self.spark.createDataFrame(data)
-        )
-        self.engine.registry[collection] = df
-        self._namespaces[(namespace, collection)] = collection
-
-    def initialize(self, namespace: str, collection: str) -> None:
-        if (namespace, collection) not in self._namespaces:
-            raise DatasetNotRegistered(f"{namespace}.{collection}")
 
     def preprocess(self, query: str, namespace: str, collection: str) -> str:
         return f"[ {query} ]"
 
     def send_query(self, query: str, namespace: str, collection: str) -> pd.DataFrame:
-        pipeline = json.loads(query)
-        return self.engine.execute(pipeline, collection).toPandas()
-
-    def postprocess(self, result: pd.DataFrame) -> pd.DataFrame:
-        # _id is engine-internal; PolyFrame's limit/return_all rules project
-        # it away, but guard mid-pipeline debugging calls too.
-        return result
-
-    def get_columns(self, namespace: str, collection: str) -> list[tuple[str, str]]:
-        return self.engine.registry[collection].dtypes
+        self.engine.registry = TempViews(self.spark, namespace)
+        return self.engine.execute(json.loads(query), collection).toPandas()
 
 
-class CypherConnector(DBConnector):
-    """Neo4j stand-in: generated Cypher runs on the mini interpreter."""
+class CypherConnector(SparkConnector):
+    """Neo4j stand-in: generated Cypher runs on the mini interpreter. Cypher
+    has no namespaces; a label is a collection of the action's namespace."""
 
     language = "cypher"
 
     def __init__(self, spark: SparkSession, rules: RewriteRules | None = None):
-        super().__init__(rules)
-        self.spark = spark
+        super().__init__(spark, rules)
         self.engine = CypherEngine({})
-        self._labels: set[str] = set()
-
-    def register(self, namespace: str, collection: str, data) -> None:
-        df = (
-            data
-            if isinstance(data, SparkDataFrame)
-            else self.spark.createDataFrame(data)
-        )
-        # Cypher has no namespaces; datasets are node labels (paper q1).
-        self.engine.registry[collection] = df
-        self._labels.add(collection)
-
-    def initialize(self, namespace: str, collection: str) -> None:
-        if collection not in self._labels:
-            raise DatasetNotRegistered(f"{namespace}.{collection}")
 
     def send_query(self, query: str, namespace: str, collection: str) -> pd.DataFrame:
+        self.engine.registry = TempViews(self.spark, namespace)
         return self.engine.execute(query).toPandas()
-
-    def get_columns(self, namespace: str, collection: str) -> list[tuple[str, str]]:
-        return self.engine.registry[collection].dtypes

@@ -1,9 +1,15 @@
-"""Spark SQL database connector — the reproduction's retarget.
+"""Spark SQL database connector — the reproduction's retarget, and the base
+of every backend that runs on Spark.
 
 PolyFrame's generated Spark SQL text is executed with ``spark.sql`` over
 temporary views. A dataset ``namespace.collection`` is registered as the
 temp view ``{namespace}_{collection}`` (Spark temp views live in a flat
 namespace), which is exactly the name the ``sparksql.ini`` q1 rule forms.
+
+One catalog: the session's temp views are the only registry. Every
+connector built on :class:`SparkConnector` (``repro.backends.engines``)
+registers, checks and reads datasets there, so a dataset registered
+through one Spark-backed language is visible to all of them.
 
 Catalyst supplies the "efficient query optimizer" the paper requires of
 every PolyFrame backend: the deeply nested subqueries produced by
@@ -13,6 +19,7 @@ PushDownPredicates before execution (see tests/test_catalyst_plans.py).
 from __future__ import annotations
 
 import pandas as pd
+from pyspark.errors import AnalysisException
 from pyspark.sql import DataFrame as SparkDataFrame, SparkSession
 
 from repro.core.connector import DatasetNotRegistered, DBConnector
@@ -22,6 +29,25 @@ from repro.core.rewrite import RewriteRules
 def view_name(namespace: str, collection: str) -> str:
     """Flat temp-view name for a namespaced dataset."""
     return f"{namespace}_{collection}"
+
+
+class TempViews:
+    """One namespace of the session's temp views as a ``{collection:
+    DataFrame}`` mapping — the registry the Mongo and Cypher engines read
+    (scans, ``$lookup.from``, a second ``MATCH``) and write (``$out``)."""
+
+    def __init__(self, spark: SparkSession, namespace: str):
+        self.spark = spark
+        self.namespace = namespace
+
+    def __getitem__(self, collection: str) -> SparkDataFrame:
+        try:
+            return self.spark.table(view_name(self.namespace, collection))
+        except AnalysisException:
+            raise KeyError(collection) from None
+
+    def __setitem__(self, collection: str, df: SparkDataFrame) -> None:
+        df.createOrReplaceTempView(view_name(self.namespace, collection))
 
 
 class SparkConnector(DBConnector):

@@ -14,9 +14,10 @@ growing it proportionally (scaleup, Table V row 3).
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -132,19 +133,15 @@ def warmup(connector: DBConnector) -> None:
     PolyFrame(NAMESPACE, COLLECTION, connector).head(1)
 
 
-def simulated_nodes(spark: SparkSession, nodes: int):
-    """Context manager: pin shuffle parallelism to the simulated node count."""
-
-    class _Ctx:
-        def __enter__(self):
-            self._saved = spark.conf.get("spark.sql.shuffle.partitions")
-            spark.conf.set("spark.sql.shuffle.partitions", str(nodes))
-            return self
-
-        def __exit__(self, *exc):
-            spark.conf.set("spark.sql.shuffle.partitions", self._saved)
-
-    return _Ctx()
+@contextmanager
+def simulated_nodes(spark: SparkSession, nodes: int) -> Iterator[None]:
+    """Pin shuffle parallelism to the simulated node count, then restore it."""
+    saved = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set("spark.sql.shuffle.partitions", str(nodes))
+    try:
+        yield
+    finally:
+        spark.conf.set("spark.sql.shuffle.partitions", saved)
 
 
 def rows_to_frame(rows: list[TimingRow]) -> pd.DataFrame:

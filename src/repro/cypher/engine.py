@@ -33,6 +33,8 @@ import re
 
 from pyspark.sql import Column, DataFrame, functions as F
 
+from repro.sqlpp.transpile import _replace_call
+
 _AGG_HEAD_RE = re.compile(r"^\s*(min|max|avg|count|stddev_pop|sum)\s*\(", re.IGNORECASE)
 
 
@@ -63,23 +65,6 @@ def _split_top_level(text: str, sep: str = ",") -> list[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
-def _replace_call(text: str, func: str, template: str) -> str:
-    """Paren-matched ``func(args)`` → ``template.format(args)``."""
-    pat = re.compile(re.escape(func) + r"\s*\(", re.IGNORECASE)
-    while True:
-        m = pat.search(text)
-        if m is None:
-            return text
-        depth, j = 1, m.end()
-        while j < len(text) and depth:
-            if text[j] == "(":
-                depth += 1
-            elif text[j] == ")":
-                depth -= 1
-            j += 1
-        text = text[: m.start()] + template.format(text[m.end() : j - 1]) + text[j:]
-
-
 def _to_sql(expr: str) -> str:
     """Translate a leaf Cypher expression into a Spark SQL expression."""
     out = _replace_call(expr, "apoc.convert.toInteger", "CAST({0} AS INT)")
@@ -94,6 +79,8 @@ class CypherEngine:
     """Executes PolyFrame's linear Cypher against registered labels."""
 
     def __init__(self, registry: dict[str, DataFrame]):
+        #: label -> Spark DataFrame; CypherConnector sets it to the action
+        #: namespace's temp views.
         self.registry = dict(registry)
 
     # ------------------------------------------------------------------

@@ -46,7 +46,9 @@ class MongoEngine:
     """Executes aggregation pipelines against registered collections."""
 
     def __init__(self, registry: dict[str, DataFrame]):
-        #: collection name -> Spark DataFrame (without _id; injected at scan)
+        #: collection name -> Spark DataFrame (without _id; injected at scan).
+        #: MongoConnector sets it to the action namespace's temp views, so
+        #: ``$out`` there becomes ``createOrReplaceTempView``.
         self.registry = dict(registry)
 
     # ------------------------------------------------------------------

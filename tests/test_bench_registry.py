@@ -16,6 +16,7 @@ from repro.bench.harness import (
     format_table,
     make_connector,
     rows_to_frame,
+    simulated_nodes,
     timed,
 )
 from tests.conftest import duck_scalar
@@ -90,6 +91,18 @@ class TestHarness:
     def test_make_connector_unknown_kind(self, spark):
         with pytest.raises(ValueError, match="unknown backend"):
             make_connector("oracle9i", spark)
+
+    def test_simulated_nodes_restores_shuffle_partitions(self, spark):
+        key = "spark.sql.shuffle.partitions"
+        before = spark.conf.get(key)
+        with simulated_nodes(spark, 3):
+            assert spark.conf.get(key) == "3"
+        assert spark.conf.get(key) == before
+        with pytest.raises(RuntimeError, match="body"):
+            with simulated_nodes(spark, 5):
+                assert spark.conf.get(key) == "5"
+                raise RuntimeError("body failed")
+        assert spark.conf.get(key) == before
 
     def test_backends_tuple_covers_all_languages(self):
         assert set(BACKENDS) == {"sparksql", "sql", "sqlpp", "mongo", "cypher"}

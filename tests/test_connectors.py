@@ -9,6 +9,7 @@ from __future__ import annotations
 import pandas as pd
 import pytest
 
+from repro.bench.harness import make_connector
 from repro.core import DatasetNotRegistered, DBConnector, PolyFrame
 from repro.core.connector import DBConnector as ABCConnector
 from tests.conftest import polyframes
@@ -69,11 +70,13 @@ class TestContract:
         assert calls == ["init", "pre", ("send", True), "post"]
 
 
-class TestNamespaceIsolation:
-    def test_same_collection_two_namespaces(self, spark, wdata):
-        from repro.backends.spark import SparkConnector
+SPARK_BACKED = ("sparksql", "sqlpp", "mongo", "cypher")
 
-        conn = SparkConnector(spark)
+
+class TestNamespaceIsolation:
+    @pytest.mark.parametrize("kind", SPARK_BACKED)
+    def test_same_collection_two_namespaces(self, spark, wdata, kind):
+        conn = make_connector(kind, spark)
         conn.register("A", "w", wdata.head(10))
         conn.register("B", "w", wdata.head(20))
         assert len(PolyFrame("A", "w", conn)) == 10
@@ -88,13 +91,34 @@ class TestNamespaceIsolation:
         assert len(PolyFrame("A", "w", conn)) == 5
         assert len(PolyFrame("B", "w", conn)) == 7
 
-    def test_reregistration_replaces(self, wdata):
-        from repro.backends.duck import DuckDBConnector
-
-        conn = DuckDBConnector()
+    @pytest.mark.parametrize("kind", ("sql",) + SPARK_BACKED)
+    def test_reregistration_replaces(self, spark, wdata, kind):
+        conn = make_connector(kind, spark)
         conn.register("A", "w", wdata.head(5))
         conn.register("A", "w", wdata.head(9))
         assert len(PolyFrame("A", "w", conn)) == 9
+
+
+class TestOneCatalog:
+    """Spark-backed connectors share the session's temp views."""
+
+    @pytest.mark.parametrize("reader", ("sqlpp", "mongo", "cypher"))
+    def test_registered_by_one_read_by_another(self, spark, wdata, reader):
+        make_connector("sparksql", spark).register("Shared", "w", wdata.head(12))
+        conn = make_connector(reader, spark)
+        assert len(PolyFrame("Shared", "w", conn)) == 12
+        cols = [c for c, _ in conn.get_columns("Shared", "w")]
+        assert cols == list(wdata.columns)
+
+    def test_mongo_out_writes_a_temp_view(self, spark, wdata):
+        data = wdata.head(10)
+        conn = make_connector("mongo", spark)
+        conn.register("O", "w", data)
+        conn.send_query(
+            '[{"$match": {"$expr": {"$eq": ["$two", 0]}}}, {"$out": "evens"}]', "O", "w"
+        )
+        evens = PolyFrame("O", "evens", make_connector("sparksql", spark))
+        assert len(evens) == int((data["two"] == 0).sum())
 
 
 class TestSparkInputs:

@@ -51,6 +51,10 @@ class TestHelpers:
         assert _to_sql("apoc.convert.toInteger(t.a = 1)") == "CAST(a = 1 AS INT)"
         assert _to_sql("apoc.convert.toString(t.a)") == "CAST(a AS STRING)"
 
+    def test_to_sql_unbalanced_call_raises(self):
+        with pytest.raises(ValueError, match="unbalanced"):
+            _to_sql("apoc.convert.toInteger(t.a")
+
 
 class TestBasics:
     def test_match_return(self, engine, data):
